@@ -178,11 +178,27 @@ class Service:
         self.stop()
 
 
+def _steal_ticks() -> Tuple[int, int]:
+    """``(steal, total)`` CPU ticks of this guest so far, from the ``cpu``
+    line of ``/proc/stat``; ``(0, 0)`` where the kernel does not report them."""
+    try:
+        with open("/proc/stat") as fh:
+            fields = fh.readline().split()
+    except OSError:
+        return 0, 0
+    if fields[:1] != ["cpu"] or len(fields) < 9:
+        return 0, 0
+    ticks = [int(x) for x in fields[1:9]]  # user nice system idle iowait irq softirq steal
+    return ticks[7], sum(ticks)
+
+
 class SpeedProbe:
     """``speed_probe.py`` running beside a phase; :meth:`stop` returns the
     factor that turns a time measured now into one at reference speed."""
 
     def __init__(self, scratch: pathlib.Path) -> None:
+        self._steal0 = _steal_ticks()
+        self.steal_share = 0.0
         self._proc = subprocess.Popen(
             [sys.executable, str(ROOT / "perfbench" / "speed_probe.py")],
             stdout=subprocess.PIPE,
@@ -194,12 +210,20 @@ class SpeedProbe:
         self.median_s = float("nan")
 
     def stop(self) -> float:
-        """Stop the probe; return ``PROBE_REF_S / median`` (1.0 at reference speed)."""
+        """Stop the probe; return ``PROBE_REF_S / median`` times the share of
+        CPU time the host did not steal from this guest meanwhile (1.0 at
+        reference speed).  The probe's median skips the passes the host
+        interrupted, so it sees how fast the CPU runs but not how much of it
+        the host takes back; the steal share adds that."""
         if self._proc.poll() is None:
             self._proc.send_signal(signal.SIGTERM)
             out, _ = self._proc.communicate(timeout=STOP_TIMEOUT_S)
             self.median_s = float(json.loads(out)["median_s"])
-        return PROBE_REF_S / self.median_s
+            steal1, total1 = _steal_ticks()
+            steal0, total0 = self._steal0
+            if total1 > total0:
+                self.steal_share = (steal1 - steal0) / (total1 - total0)
+        return PROBE_REF_S / self.median_s * (1.0 - self.steal_share)
 
     def kill(self) -> None:
         """Stop without a result (error paths)."""

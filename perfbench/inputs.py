@@ -31,10 +31,10 @@ SERIAL_KINDS: Tuple[str, ...] = ("ebar", "overlay", "underlay", "interweave")
 
 #: Total open-loop arrival rate of ``plan_mix``.  The server answers a
 #: scalar request in about 4 ms (a cache hit in about 1 ms), so two
-#: connections carry this rate with headroom on two CPUs.  Over a 25 s run
-#: about three quarters of the requests repeat an earlier body, which keeps
-#: the median latency inside the result cache's hit path instead of on the
-#: boundary between hits and misses.
+#: connections carry this rate with headroom on two CPUs.  After the 10 s
+#: warm-up, about nine in ten of a 25 s timed window's requests repeat an
+#: earlier body, which keeps the median latency inside the result cache's
+#: hit path instead of on the boundary between hits and misses.
 MIX_RATE_PER_S = 120.0
 
 _PATHS = {

@@ -76,7 +76,11 @@ LAYER_METRICS: Dict[str, Tuple[str, str, str]] = {
     "generator.lateness_p50_ms": ("ms", "lower", "how late the plan_mix sender ran"),
     "generator.lateness_max_ms": ("ms", "lower", "how late the plan_mix sender ran"),
     "tracing.overhead_pct": ("%", "lower", "none: the cost of the wrappers"),
-    "machine.speed_scale": ("ratio", "higher", "none: reference over measured probe time"),
+    "machine.speed_scale": (
+        "ratio",
+        "higher",
+        "none: reference over measured probe time, times the unstolen CPU share",
+    ),
 }
 
 

@@ -69,6 +69,7 @@ def _phase(name: str, ctx: Context, traced: bool) -> Outcome:
             factor = scale if metric in TIMES else 1.0 / scale
             outcome.metrics[metric] = raw[metric] * factor
     outcome.extra["speed_scale"] = scale
+    outcome.extra["steal_share"] = probe.steal_share
     summary = {
         "phase": "traced" if traced else "untraced",
         "workload": name,
